@@ -18,7 +18,7 @@
 //!   serial / parallel / hybrid / broadcast redundant-update schemes
 //!   (Fig. 1's AJX-ser / AJX-par / AJX-bcast).
 //! * [`recovery`] — Fig. 6's three-phase recovery, `find_consistent`, and
-//!   the lock-free degraded read (DESIGN.md §8).
+//!   the safety rule of the lock-free degraded read (DESIGN.md §8).
 //! * [`RebuildReport`] / [`Client::rebuild_node`] — the batched, bounded-
 //!   concurrency stripe-rebuild engine for bulk repair after a node loss.
 //! * [`resilience`] — the §4 theorems relating redundancy `n − k` to the
@@ -59,6 +59,7 @@ mod client;
 mod config;
 mod error;
 pub mod mux;
+mod op;
 mod pool;
 mod rebuild;
 pub mod recovery;

@@ -263,7 +263,7 @@ fn recover_inner(
                     patience = 0;
                     continue;
                 }
-                unlock_all(endpoint, cfg, caller, stripe, n)?;
+                unlock_all(endpoint, cfg, caller, stripe)?;
                 return Err(ProtocolError::Unrecoverable {
                     stripe,
                     reason: format!(
@@ -307,7 +307,7 @@ fn recover_inner(
     };
 
     if cset.len() < k {
-        unlock_all(endpoint, cfg, caller, stripe, n)?;
+        unlock_all(endpoint, cfg, caller, stripe)?;
         return Err(ProtocolError::Unrecoverable {
             stripe,
             reason: format!(
@@ -322,7 +322,7 @@ fn recover_inner(
     // (first k); for an LRC some k-subsets are rank-deficient, so the code
     // picks a decodable one from the whole consistent set.
     let Some(key) = cfg.code.select_decode_indices(&cset) else {
-        unlock_all(endpoint, cfg, caller, stripe, n)?;
+        unlock_all(endpoint, cfg, caller, stripe)?;
         return Err(ProtocolError::Unrecoverable {
             stripe,
             reason: format!("consistent set {cset:?} does not determine the data"),
@@ -424,7 +424,7 @@ pub(crate) fn reconstruct_blocks(
 }
 
 /// Returns every fetched state block to the thread-local buffer pool.
-fn give_blocks(states: &mut [GetStateReply]) {
+pub(crate) fn give_blocks(states: &mut [GetStateReply]) {
     for s in states.iter_mut() {
         if let Some(b) = s.block.take() {
             crate::pool::give(b);
@@ -494,127 +494,12 @@ pub(crate) fn degraded_plan(states: &[GetStateReply], k: usize, i: usize) -> Opt
     Some(cset)
 }
 
-/// Lock-free degraded read of data block `i` (DESIGN.md §8 and §12): one
-/// batched round to the `n − 1` peers — full `GetState` to the code's
-/// cheapest expected repair set, metadata-only `GetMeta` to the rest —
-/// [`degraded_plan`] on the replies, and a client-side single-block decode
-/// via the repair-plan cache. No locks are taken and no recovery is
-/// triggered.
-///
-/// On an LRC the optimistic repair set is the lost block's local group
-/// (~`k/g + 1` blocks instead of `k`), so the common-case read moves far
-/// fewer payload bytes. If the validated consistent set forces a different
-/// repair set, the missing blocks are fetched in a second round, guarded
-/// against concurrent mutation by tid-bookkeeping equality with the round
-/// that [`degraded_plan`] validated.
-///
-/// Returns `Ok(None)` whenever the lock-free path is not safe (peers
-/// unreachable, writes draining, crashed recovery in progress) — the
-/// caller then falls back to [`recover`]. Transport errors are folded into
-/// `Ok(None)` too: a peer we cannot reach is simply not a candidate.
-pub(crate) fn degraded_read(
-    endpoint: &ClientEndpoint,
-    cfg: &ProtocolConfig,
-    stripe: StripeId,
-    i: usize,
-) -> Result<Option<Vec<u8>>, ProtocolError> {
-    let n = cfg.n();
-    let k = cfg.k();
-    let node_of = |t: usize| NodeId(cfg.layout.node_for(stripe.0, t) as u32);
-    let peers: Vec<usize> = (0..n).filter(|&t| t != i).collect();
-    // Optimistic guess: every peer healthy and consistent — which blocks
-    // would the cheapest repair of `i` read? Those get a full `GetState`;
-    // the rest answer metadata-only.
-    let optimistic: BTreeSet<usize> = cfg
-        .plan_cache
-        .repair(&cfg.code, i, &peers)
-        .map(|p| p.indices().collect())
-        .unwrap_or_default();
-    let calls: Vec<(NodeId, Request)> = peers
-        .iter()
-        .map(|&t| {
-            let req = if optimistic.contains(&t) {
-                Request::GetState { stripe }
-            } else {
-                Request::GetMeta { stripe }
-            };
-            (node_of(t), req)
-        })
-        .collect();
-    let placeholder = || GetStateReply {
-        opmode: OpMode::Init,
-        recons_set: vec![],
-        oldlist: vec![],
-        recentlist: vec![],
-        block: None,
-        epoch: Epoch(0),
-    };
-    let mut states: Vec<GetStateReply> = (0..n).map(|_| placeholder()).collect();
-    for (&t, res) in peers.iter().zip(call_many(endpoint, cfg, calls)) {
-        if let Ok(Reply::GetState(s)) = res {
-            states[t] = s;
-        }
-    }
-    let Some(cset) = degraded_plan(&states, k, i) else {
-        give_blocks(&mut states);
-        return Ok(None);
-    };
-    // The consistent set is validated; now pick the cheapest repair inside
-    // it. A set that cannot repair `i` at all (LRC rank deficit) is as
-    // ambiguous as any other failure: fall back.
-    let Some(plan) = cfg.plan_cache.repair(&cfg.code, i, &cset) else {
-        give_blocks(&mut states);
-        return Ok(None);
-    };
-    // Second round for plan members the optimistic guess did not fetch.
-    // The late block is only usable if the node's tid bookkeeping did not
-    // move since the round `degraded_plan` validated — any drift means a
-    // write or recovery is interleaving, so fall back (TOCTOU guard).
-    let missing: Vec<usize> = plan
-        .indices()
-        .filter(|&t| states[t].block.is_none())
-        .collect();
-    if !missing.is_empty() {
-        let fetch: Vec<(NodeId, Request)> = missing
-            .iter()
-            .map(|&t| (node_of(t), Request::GetState { stripe }))
-            .collect();
-        for (&t, res) in missing.iter().zip(call_many(endpoint, cfg, fetch)) {
-            match res {
-                Ok(Reply::GetState(s))
-                    if s.opmode == states[t].opmode
-                        && s.recentlist == states[t].recentlist
-                        && s.oldlist == states[t].oldlist
-                        && s.epoch == states[t].epoch =>
-                {
-                    states[t] = s;
-                }
-                _ => {
-                    give_blocks(&mut states);
-                    return Ok(None);
-                }
-            }
-        }
-    }
-    let shares: Vec<&[u8]> = plan
-        .indices()
-        .filter_map(|t| states[t].block.as_deref())
-        .collect();
-    let len = shares.first().map_or(0, |s| s.len());
-    let mut out = crate::pool::take(len);
-    // Decode errors mean ragged or missing shares — not a state the
-    // protocol produces, but the conservative answer is the same as for
-    // any other ambiguity: fall back to recovery.
-    let decoded = match plan.reconstruct_into(&shares, &mut out) {
-        Ok(()) => Some(out),
-        Err(_) => {
-            crate::pool::give(out);
-            None
-        }
-    };
-    drop(shares);
-    give_blocks(&mut states);
-    Ok(decoded)
+/// `setlock(UNL)` from `caller` to every node of `stripe`.
+fn releases(cfg: &ProtocolConfig, caller: ClientId, stripe: StripeId) -> Vec<(NodeId, Request)> {
+    let unlock = Request::SetLock { stripe, lm: LMode::Unl, caller };
+    (0..cfg.n())
+        .map(|t| (NodeId(cfg.layout.node_for(stripe.0, t) as u32), unlock.clone()))
+        .collect()
 }
 
 fn unlock_all(
@@ -622,24 +507,9 @@ fn unlock_all(
     cfg: &ProtocolConfig,
     caller: ClientId,
     stripe: StripeId,
-    n: usize,
 ) -> Result<(), ProtocolError> {
-    let releases: Vec<_> = (0..n)
-        .map(|t| {
-            (
-                NodeId(cfg.layout.node_for(stripe.0, t) as u32),
-                Request::SetLock {
-                    stripe,
-                    lm: LMode::Unl,
-                    caller,
-                },
-            )
-        })
-        .collect();
-    for res in call_many(endpoint, cfg, releases) {
-        res?;
-    }
-    Ok(())
+    let replies = call_many(endpoint, cfg, releases(cfg, caller, stripe));
+    replies.into_iter().try_for_each(|r| r.map(drop))
 }
 
 /// Fire-and-forget unlock for error paths: release whatever locks this
@@ -651,19 +521,7 @@ fn best_effort_unlock(
     caller: ClientId,
     stripe: StripeId,
 ) {
-    let releases: Vec<_> = (0..cfg.n())
-        .map(|t| {
-            (
-                NodeId(cfg.layout.node_for(stripe.0, t) as u32),
-                Request::SetLock {
-                    stripe,
-                    lm: LMode::Unl,
-                    caller,
-                },
-            )
-        })
-        .collect();
-    let _ = endpoint.call_many(releases);
+    let _ = endpoint.call_many(releases(cfg, caller, stripe));
 }
 
 #[cfg(test)]

@@ -1,26 +1,68 @@
-//! Typed RPC helpers: thin wrappers over the transport that unwrap reply
-//! variants and implement the §3.5 directory behaviour (auto-remap of
-//! crashed nodes) so the protocol code reads like the paper's pseudocode.
+//! Typed RPC helpers over the transport: the one transport-error rule
+//! ([`recourse`]: §3.5 auto-remap of crashed nodes, `Busy` and lost-reply
+//! re-sends) and reply-variant unwrapping.
 
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
 use ajx_storage::{NodeId, Reply, Request};
 use ajx_transport::{ClientEndpoint, RpcError};
 
-/// Issues `req`, transparently remapping a crashed node once (§3.5: "clients
-/// simply access some logical node, which gets remapped on failures") and
-/// re-sending *idempotent* requests that failed indeterminately (timeout /
-/// lost reply / torn-down worker) up to the configured retry budget, with
-/// backoff between attempts.
+/// What to do about one failed RPC: remap the crashed node through the
+/// directory and send once more, back off and send it again, or surface
+/// the error to the protocol layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Recourse {
+    Remap,
+    Resend,
+    Surface,
+}
+
+/// Re-sends a caller may still spend, on [`RpcError::Busy`] sheds and on
+/// indeterminately lost idempotent requests.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Budget {
+    pub(crate) busy: u32,
+    pub(crate) lost: u32,
+}
+
+/// The one transport-error rule, shared by [`call`], [`call_many`], the
+/// multicast of the blocking client and the multiplexed driver. A re-send
+/// is charged to `budget`.
 ///
-/// Non-idempotent requests (`swap`, `add`) are never re-sent: the first
-/// copy may have executed, and executing twice corrupts the write. Their
-/// timeouts surface to the protocol layer, which owns the recovery story.
+/// * `NodeDown` with `auto_remap`: a crash is determinate, so remap (§3.5:
+///   "clients simply access some logical node, which gets remapped on
+///   failures") without spending budget.
+/// * `Busy` is shed *before* the node's queue — determinate, so even a
+///   non-idempotent request is re-sent. No remap: the node is healthy.
+/// * An indeterminate failure (timeout, lost reply, torn-down worker) is
+///   re-sent only for an idempotent request: a `swap` or `add` may have
+///   executed, and executing it twice corrupts the write.
+pub(crate) fn recourse(
+    cfg: &ProtocolConfig,
+    req: &Request,
+    err: &RpcError,
+    budget: &mut Budget,
+) -> Recourse {
+    match err {
+        RpcError::NodeDown(_) if cfg.auto_remap => Recourse::Remap,
+        RpcError::Busy(_) if budget.busy > 0 => {
+            budget.busy -= 1;
+            Recourse::Resend
+        }
+        e if e.is_indeterminate() && req.is_idempotent() && budget.lost > 0 => {
+            budget.lost -= 1;
+            Recourse::Resend
+        }
+        _ => Recourse::Surface,
+    }
+}
+
+/// Issues `req` under the [`recourse`] rule.
 ///
 /// # Errors
 ///
-/// Propagates transport errors that remapping and the retry budget cannot
-/// fix (client killed, unknown node, node crashed again immediately,
+/// Transport errors that remapping and the retry budget cannot fix
+/// (client killed, unknown node, node crashed again immediately,
 /// persistent timeouts).
 pub(crate) fn call(
     endpoint: &ClientEndpoint,
@@ -28,71 +70,53 @@ pub(crate) fn call(
     node: NodeId,
     req: Request,
 ) -> Result<Reply, ProtocolError> {
+    endpoint.call(node, req.clone()).or_else(|e| retry(endpoint, cfg, node, req, e))
+}
+
+/// Settles a failed send of `req` under the [`recourse`] rule: re-sends
+/// with backoff within the blocking paths' budget (`rpc_retry_budget` of
+/// each kind), or remaps and sends once more, raw.
+pub(crate) fn retry(
+    endpoint: &ClientEndpoint,
+    cfg: &ProtocolConfig,
+    node: NodeId,
+    req: Request,
+    mut err: RpcError,
+) -> Result<Reply, ProtocolError> {
     let mut backoff = cfg
         .backoff
         .session(u64::from(endpoint.id().0) << 32 | u64::from(node.0));
-    let mut resends = 0u32;
+    let n = cfg.backoff.rpc_retry_budget;
+    let mut budget = Budget { busy: n, lost: n };
     loop {
-        match endpoint.call(node, req.clone()) {
-            Ok(reply) => return Ok(reply),
-            Err(RpcError::NodeDown(_)) if cfg.auto_remap => {
-                // A crash is determinate — no reason to burn retry budget.
+        match recourse(cfg, &req, &err, &mut budget) {
+            Recourse::Remap => {
                 endpoint.network().remap_node(node, cfg.remap_garbage);
                 return endpoint.call(node, req).map_err(ProtocolError::from);
             }
-            Err(e)
-                if e.is_indeterminate()
-                    && req.is_idempotent()
-                    && resends < cfg.backoff.rpc_retry_budget =>
-            {
-                resends += 1;
-                backoff.pause();
-            }
-            // Busy is shed *before* the node's queue — determinate, so
-            // even non-idempotent requests are safely resent after the
-            // same jittered backoff as a timeout. No remap: the node is
-            // healthy, just saturated.
-            Err(RpcError::Busy(_)) if resends < cfg.backoff.rpc_retry_budget => {
-                resends += 1;
-                backoff.pause();
-            }
-            Err(e) => return Err(ProtocolError::from(e)),
+            Recourse::Resend => backoff.pause(),
+            Recourse::Surface => return Err(err.into()),
         }
+        err = match endpoint.call(node, req.clone()) {
+            Ok(reply) => return Ok(reply),
+            Err(e) => e,
+        };
     }
 }
 
-/// Parallel fan-out (`pfor`) with the same auto-remap and idempotent-retry
-/// semantics per call. Failed calls are retried serially after the batch —
-/// the slow path only exists under faults.
+/// Parallel fan-out (`pfor`); failed calls are settled by [`retry`]
+/// serially after the batch — the slow path only exists under faults.
 pub(crate) fn call_many(
     endpoint: &ClientEndpoint,
     cfg: &ProtocolConfig,
     calls: Vec<(NodeId, Request)>,
 ) -> Vec<Result<Reply, ProtocolError>> {
     let retry_targets: Vec<(NodeId, Request)> = calls.clone();
-    let first = endpoint.call_many(calls);
-    first
+    endpoint
+        .call_many(calls)
         .into_iter()
         .zip(retry_targets)
-        .map(|(res, (node, req))| match res {
-            Ok(reply) => Ok(reply),
-            Err(RpcError::NodeDown(_)) if cfg.auto_remap => {
-                endpoint.network().remap_node(node, cfg.remap_garbage);
-                endpoint.call(node, req).map_err(ProtocolError::from)
-            }
-            Err(e)
-                if e.is_indeterminate()
-                    && req.is_idempotent()
-                    && cfg.backoff.rpc_retry_budget > 0 =>
-            {
-                call(endpoint, cfg, node, req)
-            }
-            // Shed by a full queue, never executed: retry any request.
-            Err(RpcError::Busy(_)) if cfg.backoff.rpc_retry_budget > 0 => {
-                call(endpoint, cfg, node, req)
-            }
-            Err(e) => Err(ProtocolError::from(e)),
-        })
+        .map(|(res, (node, req))| res.or_else(|e| retry(endpoint, cfg, node, req, e)))
         .collect()
 }
 

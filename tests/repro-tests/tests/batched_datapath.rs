@@ -14,7 +14,7 @@
 //!    byte-identical traces across reruns, for several seeds.
 
 use ajx_cluster::{run_chaos, ChaosOptions, Cluster};
-use ajx_core::ProtocolConfig;
+use ajx_core::{ProtocolConfig, UpdateStrategy};
 use ajx_storage::StripeId;
 use proptest::prelude::*;
 use std::time::Duration;
@@ -32,17 +32,25 @@ proptest! {
 
     /// Random write batches (with duplicates and shuffled order) applied
     /// batched on one cluster and per-block on another leave both in the
-    /// same state, read back both batched and per-block.
+    /// same state, read back both batched and per-block — under every
+    /// update strategy, since one write op serves both paths.
     #[test]
     fn prop_batched_ops_equal_per_block_loop(
         batches in proptest::collection::vec(
             proptest::collection::vec((0u64..24, any::<u8>()), 1..10),
             1..6
-        )
+        ),
+        strategy in prop_oneof![
+            Just(UpdateStrategy::Serial),
+            Just(UpdateStrategy::Parallel),
+            Just(UpdateStrategy::Hybrid { groups: 2 }),
+            Just(UpdateStrategy::Broadcast),
+        ]
     ) {
         let bs = 32;
-        let batched = cluster(2, 4, bs);
-        let serial = cluster(2, 4, bs);
+        let cfg = ProtocolConfig::new(2, 4, bs).unwrap().with_strategy(strategy);
+        let batched = Cluster::new(cfg.clone(), 1);
+        let serial = Cluster::new(cfg, 1);
 
         for batch in &batches {
             let values: Vec<Vec<u8>> =
